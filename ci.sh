@@ -156,6 +156,9 @@ cargo test -q -p dasp-apps --test transport_equivalence
 echo "== E20 socket throughput regression gate (>15% loss vs baseline fails) =="
 cargo run --release -q -p dasp-bench --bin experiments -- --check BENCH_net.json
 
+echo "== e2ebench: build and unit-test the end-to-end benchmark against the public API =="
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo bench --no-run =="
 cargo bench --no-run --workspace
 

@@ -9,7 +9,7 @@ use dasp_bench::deploy_employees;
 use dasp_client::{ColumnSpec, Predicate, TableSchema, Value};
 use dasp_core::client::{ClientKeys, DataSource};
 use dasp_net::Cluster;
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +70,7 @@ fn bench_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("join");
     let mut rng = StdRng::seed_from_u64(0x70);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(30));
+    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(3), Duration::from_secs(30), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 0x71).unwrap();
     let eid = || ColumnSpec::numeric("eid", 1 << 20, ShareMode::Deterministic).in_domain("eid");
     ds.create_table(

@@ -8,7 +8,7 @@
 use dasp_client::{ColumnSpec, DataSource, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_net::{Cluster, NetworkModel, TrafficStats};
-use dasp_server::service::{provider_fleet, shared_provider_fleet};
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use dasp_workload::employees::{self, SalaryDist};
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ pub const SALARY_DOMAIN: u64 = 1 << 20;
 
 /// Deploy `n` providers (threshold `k`) and load `rows` employees.
 pub fn deploy_employees(k: usize, n: usize, rows: usize, seed: u64) -> EmployeesDeployment {
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_secs(30));
+    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(n), Duration::from_secs(30), 1);
     deploy_onto(cluster, k, n, rows, seed)
 }
 

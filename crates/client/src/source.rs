@@ -17,7 +17,9 @@ use crate::schema::{ColumnType, Predicate, TableSchema, Value};
 use crate::{ClientError, Result};
 use dasp_crypto::merkle::MerkleProof;
 use dasp_field::{lagrange_eval_at, Fp};
-use dasp_net::{Cluster, HealthSnapshot, ProviderId, QuorumMode, QuorumOptions, RetryPolicy};
+use dasp_net::{
+    Cluster, HealthSnapshot, ProviderId, QuorumMode, QuorumOptions, RetryPolicy, RpcError,
+};
 use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
 use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpSharing, ShareMode};
@@ -284,27 +286,19 @@ impl DataSource {
         })
     }
 
-    /// Bind keys to remote TCP providers: dial one socket per address
-    /// and run the whole client stack — rewriting, reconstruction,
-    /// quorum, hedging, verification — over the wire. The transport is
-    /// invisible above [`Cluster`]; everything else is [`Self::new`].
-    pub fn connect_tcp(
-        keys: ClientKeys,
-        addrs: &[std::net::SocketAddr],
-        timeout: std::time::Duration,
-        workers: usize,
-    ) -> Result<Self> {
-        let cluster = Cluster::connect_tcp(addrs, timeout, workers)
-            .map_err(|e| ClientError::Schema(format!("tcp connect: {e}")))?;
-        Self::new(keys, cluster)
-    }
-
-    /// [`Self::connect_tcp`] with an explicit transport configuration —
-    /// notably [`dasp_net::TcpClientConfig::batch_window`], which packs
-    /// the concurrent share uploads/downloads of `query_many` and the
-    /// quorum fan-out into multi-query wire frames. Result *contents*
-    /// are transport-independent either way; only wire shape and
-    /// latency change.
+    /// Bind keys to remote TCP providers, one socket per address, and
+    /// run the whole client stack — rewriting, reconstruction, quorum,
+    /// hedging, verification — over the wire. The transport is invisible
+    /// above [`Cluster`]; everything else is [`Self::new`]. `cfg` sets
+    /// e.g. [`dasp_net::TcpClientConfig::batch_window`], which packs the
+    /// concurrent share uploads/downloads of `query_many` and the quorum
+    /// fan-out into multi-query wire frames; result *contents* are
+    /// transport-independent either way.
+    ///
+    /// Providers are dialed on first use, so the client starts while
+    /// some are down: reads need only k of them, and a provider that
+    /// comes up later heals on its own (see
+    /// [`Cluster::connect_tcp_with`]; `workers` is unused for sockets).
     pub fn connect_tcp_with(
         keys: ClientKeys,
         addrs: &[std::net::SocketAddr],
@@ -312,8 +306,10 @@ impl DataSource {
         workers: usize,
         cfg: dasp_net::TcpClientConfig,
     ) -> Result<Self> {
+        // Building a socket cluster does not dial, so it cannot fail on
+        // an unreachable provider; the io::Result is never an Err today.
         let cluster = Cluster::connect_tcp_with(addrs, timeout, workers, cfg)
-            .map_err(|e| ClientError::Schema(format!("tcp connect: {e}")))?;
+            .map_err(|_| ClientError::Rpc(RpcError::Closed))?;
         Self::new(keys, cluster)
     }
 

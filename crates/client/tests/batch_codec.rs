@@ -6,7 +6,7 @@ use dasp_client::{
     ClientKeys, ColumnSpec, DataSource, Predicate, QueryOptions, TableSchema, Value,
 };
 use dasp_net::Cluster;
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,8 @@ use std::time::Duration;
 fn source(k: usize, n: usize, seed: u64) -> DataSource {
     let mut rng = StdRng::seed_from_u64(0xdab);
     let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_millis(500));
+    let cluster =
+        Cluster::spawn_concurrent(shared_provider_fleet(n), Duration::from_millis(500), 1);
     DataSource::with_seed(keys, cluster, seed).unwrap()
 }
 

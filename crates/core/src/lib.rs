@@ -43,7 +43,7 @@ use dasp_client::{
     GroupRow, Predicate, QueryOptions, TableSchema, Value,
 };
 use dasp_net::Cluster;
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sql::{
     Aggregate, ColumnMode, ColumnTypeDef, Condition, Literal, ParseError, Projection, Statement,
 };
@@ -146,7 +146,8 @@ impl OutsourcedDatabase {
         ds_seed: Option<u64>,
     ) -> Result<Self, DbError> {
         let keys = ClientKeys::generate(k, n, rng)?;
-        let cluster = Cluster::spawn(provider_fleet(n), Duration::from_secs(2));
+        let cluster =
+            Cluster::spawn_concurrent(shared_provider_fleet(n), Duration::from_secs(2), 1);
         let ds = match ds_seed {
             Some(seed) => DataSource::with_seed(keys, cluster, seed)?,
             None => DataSource::new(keys, cluster)?,

@@ -10,10 +10,12 @@
 //!   translate measured byte/message counts into modeled WAN time, so
 //!   experiments can report both raw compute and network-dominated
 //!   end-to-end figures, like the paper's "~3 Gbit of transfer" claims.
-//! * [`rpc`] — providers as OS threads serving requests over crossbeam
-//!   channels, with per-provider failure injection (crash, omission,
-//!   response corruption) for the paper's benign/malicious failure-model
-//!   challenge (conclusion, challenge (b)).
+//! * [`rpc`] — the [`Cluster`] and its one request path: the quorum
+//!   engine submits each request straight to a provider's transport (an
+//!   in-process worker pool's channel, or a [`TcpClient`]'s socket),
+//!   with per-provider failure injection (crash, omission, response
+//!   corruption, link delay) at that one dispatch step, for the paper's
+//!   benign/malicious failure-model challenge (conclusion, challenge (b)).
 //! * [`resilience`] — retry policies with jittered backoff, per-provider
 //!   health tracking (latency EWMAs), and circuit breakers backing the
 //!   first-k-wins quorum engine in [`rpc`].
@@ -22,10 +24,11 @@
 //!   multiplexing by token, per-connection write backpressure, fan-in to
 //!   the MPMC worker pools.
 //! * [`transport`] — the socket-backed client: a multiplexing
-//!   [`transport::TcpClient`] implementing [`SharedService`] so
-//!   `Cluster`, quorum, hedging, retries, and breakers run unchanged
-//!   over sockets, plus a blocking per-connection handle for load
-//!   generators.
+//!   [`TcpClient`] whose `submit` writes from the caller's thread and
+//!   whose reader thread completes replies onto the quorum's reply
+//!   channel, so quorum, hedging, retries, breakers and failure
+//!   injection run unchanged over sockets; plus a blocking
+//!   per-connection handle for load generators.
 
 pub mod cost;
 pub mod reactor;
@@ -41,8 +44,8 @@ pub use resilience::{
     ProviderHealthView, ProviderOutcome, QuorumError, RetryPolicy, SystemClock,
 };
 pub use rpc::{
-    Cluster, FailureMode, FailureSwitch, ProviderId, QuorumMode, QuorumOptions, RpcError, Service,
-    ServiceFactory, SharedService,
+    Cluster, FailureMode, FailureSwitch, ProviderId, QuorumMode, QuorumOptions, RpcError,
+    SharedService,
 };
 pub use transport::{
     batch_window_from_env, BlockingConn, TcpClient, TcpClientConfig, TransportError,

@@ -1,11 +1,14 @@
-//! Threaded RPC fabric with failure injection and a resilient quorum
-//! engine.
+//! Cluster RPC: one request path to every provider, per-provider
+//! failure injection, and a resilient quorum engine.
 //!
-//! Each provider runs as an OS thread owning a [`Service`] implementation
-//! and serving requests from a crossbeam channel — the closest laptop
-//! analogue of the paper's independent DAS sites. The client side fans
-//! requests out to any subset of providers and waits with a timeout, so a
-//! crashed provider degrades into a timeout exactly as a dead site would.
+//! A provider is reached in one of two ways, the closest laptop
+//! analogues of the paper's independent DAS sites:
+//! * in process ([`Cluster::spawn_concurrent`]) — a [`SharedService`]
+//!   behind a pool of worker threads draining one crossbeam channel;
+//! * over TCP ([`Cluster::connect_tcp_with`]) — a [`TcpClient`]: the
+//!   quorum engine writes each request onto the provider's socket from
+//!   the calling thread, and the client's reader thread delivers the
+//!   reply straight onto the quorum's reply channel.
 //!
 //! Quorum calls are *first-k-wins*: every in-flight attempt replies onto
 //! one shared channel tagged with an attempt token, and the engine
@@ -14,51 +17,35 @@
 //! failures escalate to hedge launches at the next-fastest provider, and
 //! providers with open circuit breakers (see
 //! [`HealthTracker`](crate::resilience::HealthTracker)) are skipped
-//! unless the quorum cannot be met without them.
+//! unless the quorum cannot be met without them. A crashed provider
+//! degrades into a timeout exactly as a dead site would.
 //!
-//! Failure injection (per provider, switchable at runtime):
-//! * [`FailureMode::Crashed`] — requests are dropped (client times out).
+//! Failure injection (per provider, switchable at runtime) sits at the
+//! one dispatch step both transports share, so it behaves the same on
+//! either:
+//! * [`FailureMode::Crashed`] — requests are not sent (client times out).
 //! * [`FailureMode::Omission`] — each response is dropped with probability p.
-//! * [`FailureMode::Byzantine`] — each response byte-flipped with
+//! * [`FailureMode::Byzantine`] — each response has one bit flipped with
 //!   probability p (exercises share-consistency detection).
+//! * [`Cluster::set_latency`] — each request is held back by a link
+//!   delay before it is sent; no provider thread sleeps.
 
 use crate::cost::TrafficStats;
 use crate::resilience::{
     Admission, BreakerConfig, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy, SystemClock,
 };
-use crate::transport::{TcpClient, TcpClientConfig};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::transport::{TcpClient, TcpClientConfig, TransportError};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Index of a provider within a cluster (0-based).
 pub type ProviderId = usize;
-
-/// Builds one provider's service at cluster spawn time — e.g. by
-/// recovering a durable provider from its on-disk state. An `Err` carries
-/// a human-readable reason and produces a dead provider slot (see
-/// [`Cluster::spawn_concurrent_recovering`]).
-pub type ServiceFactory = Box<dyn FnOnce() -> Result<Arc<dyn SharedService>, String> + Send>;
-
-/// A request handler run by each provider thread.
-pub trait Service: Send {
-    /// Handle one request payload, producing a response payload.
-    fn handle(&mut self, request: &[u8]) -> Vec<u8>;
-}
-
-impl<F> Service for F
-where
-    F: FnMut(&[u8]) -> Vec<u8> + Send,
-{
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self(request)
-    }
-}
 
 /// A request handler that serves many requests concurrently: the worker
 /// pool spawned by [`Cluster::spawn_concurrent`] calls `handle` from
@@ -78,19 +65,6 @@ where
     }
 }
 
-/// Adapter running an exclusive [`Service`] under the concurrent spawn
-/// path: a mutex serializes `handle` calls, so a single-worker pool
-/// behaves exactly like the original one-thread-per-provider loop.
-struct ExclusiveService(Mutex<Box<dyn Service>>);
-
-impl SharedService for ExclusiveService {
-    fn handle(&self, request: &[u8]) -> Vec<u8> {
-        // dasp::allow(L1): the mutex exists to serialize the inner service;
-        // the call under the guard is the whole point of this adapter.
-        self.0.lock().handle(request)
-    }
-}
-
 /// Per-provider failure behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureMode {
@@ -100,7 +74,7 @@ pub enum FailureMode {
     Crashed,
     /// Each response is dropped with this probability.
     Omission(f64),
-    /// Each response is corrupted (random byte flipped) with this
+    /// Each response is corrupted (random bit flipped) with this
     /// probability.
     Byzantine(f64),
 }
@@ -184,6 +158,7 @@ impl Default for QuorumOptions<'_> {
     }
 }
 
+/// One request handed to an in-process worker pool.
 struct Envelope {
     request: Vec<u8>,
     reply_to: Sender<(u64, Vec<u8>)>,
@@ -207,16 +182,101 @@ impl FailureSwitch {
     }
 }
 
-struct ProviderHandle {
-    /// `None` once the cluster has been shut down.
-    tx: Option<Sender<Envelope>>,
-    failure: Arc<Mutex<FailureMode>>,
-    latency: Arc<Mutex<Duration>>,
-    /// Worker threads draining this provider's request channel.
-    threads: Vec<JoinHandle<()>>,
+/// How the cluster reaches one provider.
+enum Transport {
+    /// In process: envelopes on the channel a worker pool drains.
+    Pool {
+        tx: Sender<Envelope>,
+        workers: Vec<JoinHandle<()>>,
+    },
+    /// Over TCP: requests written straight onto the provider's socket.
+    Tcp(TcpClient),
 }
 
-/// A running cluster of provider threads plus client-side metering and
+struct ProviderHandle {
+    /// `None` once the cluster has been shut down, or when the OS
+    /// refused every worker thread: calls then fail with
+    /// [`RpcError::Closed`].
+    transport: Option<Transport>,
+    failure: Arc<Mutex<FailureMode>>,
+    /// Injected link delay, applied to each request before it is sent.
+    latency: Mutex<Duration>,
+    /// Draws omission drops and Byzantine bit flips.
+    rng: Mutex<StdRng>,
+}
+
+impl ProviderHandle {
+    fn new(id: ProviderId, transport: Option<Transport>) -> Self {
+        ProviderHandle {
+            transport,
+            failure: Arc::new(Mutex::new(FailureMode::Healthy)),
+            latency: Mutex::new(Duration::ZERO),
+            rng: Mutex::new(StdRng::seed_from_u64(0x5eed ^ id as u64)),
+        }
+    }
+
+    /// The one dispatch step: hand attempt `token` to the provider. A
+    /// crashed provider swallows it, and a transport error leaves it to
+    /// its deadline, so a dead socket looks exactly like a crash.
+    /// Returns false only when the provider is closed.
+    fn submit(&self, request: &[u8], reply_to: &Sender<(u64, Vec<u8>)>, token: u64) -> bool {
+        let Some(transport) = &self.transport else {
+            return false;
+        };
+        if *self.failure.lock() == FailureMode::Crashed {
+            return true;
+        }
+        match transport {
+            Transport::Pool { tx, .. } => tx
+                .send(Envelope {
+                    request: request.to_vec(),
+                    reply_to: reply_to.clone(),
+                    token,
+                })
+                .is_ok(),
+            Transport::Tcp(client) => {
+                client.submit(request, reply_to.clone(), token) != Err(TransportError::Closed)
+            }
+        }
+    }
+
+    /// Reply-side fault injection: `None` drops the reply (omission);
+    /// Byzantine mode may flip one bit.
+    fn inject(&self, mut response: Vec<u8>) -> Option<Vec<u8>> {
+        match *self.failure.lock() {
+            FailureMode::Omission(p) => (self.rng.lock().gen::<f64>() >= p).then_some(response),
+            FailureMode::Byzantine(p) => {
+                let mut rng = self.rng.lock();
+                if !response.is_empty() && rng.gen::<f64>() < p {
+                    let idx = rng.gen_range(0..response.len());
+                    let bit = rng.gen_range(0u32..8);
+                    if let Some(byte) = response.get_mut(idx) {
+                        *byte ^= 1u8 << bit;
+                    }
+                }
+                Some(response)
+            }
+            FailureMode::Healthy | FailureMode::Crashed => Some(response),
+        }
+    }
+
+    /// Tear the transport down and join every thread it owns.
+    fn close(&mut self) {
+        match self.transport.take() {
+            Some(Transport::Pool { tx, workers }) => {
+                // Dropping the sender ends every worker's `recv` loop.
+                drop(tx);
+                for w in workers {
+                    let _ = w.join();
+                }
+            }
+            Some(Transport::Tcp(client)) => client.close(),
+            None => {}
+        }
+    }
+}
+
+/// A running cluster of providers plus client-side metering and
 /// per-provider health tracking.
 pub struct Cluster {
     providers: Vec<ProviderHandle>,
@@ -226,30 +286,19 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawn one thread per service. `timeout` bounds every call.
-    pub fn spawn(services: Vec<Box<dyn Service>>, timeout: Duration) -> Self {
-        Self::spawn_with_breaker(services, timeout, BreakerConfig::default())
-    }
-
-    /// [`Cluster::spawn`] with custom circuit-breaker tuning.
-    pub fn spawn_with_breaker(
-        services: Vec<Box<dyn Service>>,
-        timeout: Duration,
-        breaker: BreakerConfig,
-    ) -> Self {
-        // An exclusive service under a 1-worker pool is behaviourally
-        // identical to the original serial per-provider loop (same thread
-        // count, same RNG seed, strict request ordering via the mutex).
-        let shared = services
-            .into_iter()
-            .map(|s| Arc::new(ExclusiveService(Mutex::new(s))) as Arc<dyn SharedService>)
-            .collect();
-        Self::spawn_concurrent_with_breaker(shared, timeout, 1, breaker)
+    fn from_providers(providers: Vec<ProviderHandle>, timeout: Duration) -> Self {
+        let n = providers.len();
+        Cluster {
+            providers,
+            stats: TrafficStats::new(),
+            timeout,
+            health: HealthTracker::new(n, BreakerConfig::default(), Arc::new(SystemClock::new())),
+        }
     }
 
     /// Worker-pool size used when callers don't pick one: `min(4, cores)`.
     /// Small enough that a laptop cluster of n providers doesn't
-    /// oversubscribe, large enough to pipeline WAN-latency-bound requests.
+    /// oversubscribe, large enough to overlap slow requests.
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -257,205 +306,85 @@ impl Cluster {
             .min(4)
     }
 
-    /// Spawn `workers` threads per provider, all draining one request
-    /// channel, so a provider serves up to `workers` requests at once and
-    /// responses may return out of order — the quorum engine multiplexes
-    /// them by attempt token. Failure injection and latency switches are
-    /// shared across a provider's workers, preserving [`FailureSwitch`]
-    /// semantics.
+    /// Serve in-process providers, each from `workers` threads draining
+    /// one request channel, so a provider serves up to `workers`
+    /// requests at once and responses may return out of order — the
+    /// quorum engine multiplexes them by attempt token. With one worker
+    /// a provider serves its requests one at a time, in arrival order.
     pub fn spawn_concurrent(
         services: Vec<Arc<dyn SharedService>>,
         timeout: Duration,
         workers: usize,
     ) -> Self {
-        Self::spawn_concurrent_with_breaker(services, timeout, workers, BreakerConfig::default())
-    }
-
-    /// [`Cluster::spawn_concurrent`] with custom circuit-breaker tuning.
-    pub fn spawn_concurrent_with_breaker(
-        services: Vec<Arc<dyn SharedService>>,
-        timeout: Duration,
-        workers: usize,
-        breaker: BreakerConfig,
-    ) -> Self {
-        let n = services.len();
         let workers = workers.max(1);
         let providers = services
             .into_iter()
             .enumerate()
             .map(|(id, service)| {
-                let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
-                let failure = Arc::new(Mutex::new(FailureMode::Healthy));
-                let latency = Arc::new(Mutex::new(Duration::ZERO));
-                let mut threads = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let service = Arc::clone(&service);
-                    let rx = rx.clone();
-                    let failure = Arc::clone(&failure);
-                    let latency = Arc::clone(&latency);
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("dasp-provider-{id}-w{w}"))
-                        .spawn(move || {
-                            // Worker 0 keeps the pre-pool seed so
-                            // single-worker clusters inject bit-identical
-                            // faults; extra workers fork the stream.
-                            let mut rng =
-                                StdRng::seed_from_u64(0x5eed ^ id as u64 ^ ((w as u64) << 32));
-                            while let Ok(env) = rx.recv() {
-                                let delay = *latency.lock();
-                                if !delay.is_zero() {
-                                    // Live WAN emulation: one-way request
-                                    // delay (the reply path shares the same
-                                    // sleep budget for simplicity).
-                                    std::thread::sleep(delay);
+                let (tx, rx) = unbounded::<Envelope>();
+                let threads: Vec<JoinHandle<()>> = (0..workers)
+                    .filter_map(|w| {
+                        let service = Arc::clone(&service);
+                        let rx = rx.clone();
+                        std::thread::Builder::new()
+                            .name(format!("dasp-provider-{id}-w{w}"))
+                            .spawn(move || {
+                                while let Ok(env) = rx.recv() {
+                                    // dasp::allow(E1): the caller may have
+                                    // returned and dropped its reply rx;
+                                    // a dead waiter is not an error here.
+                                    let _ = env
+                                        .reply_to
+                                        .send((env.token, service.handle(&env.request)));
                                 }
-                                let mode = *failure.lock();
-                                match mode {
-                                    FailureMode::Crashed => continue,
-                                    FailureMode::Omission(p) => {
-                                        let response = service.handle(&env.request);
-                                        if rng.gen::<f64>() >= p {
-                                            // dasp::allow(E1): the caller may have
-                                            // timed out and dropped its reply rx;
-                                            // a dead waiter is not an error here.
-                                            let _ = env.reply_to.send((env.token, response));
-                                        }
-                                    }
-                                    FailureMode::Byzantine(p) => {
-                                        let mut response = service.handle(&env.request);
-                                        if !response.is_empty() && rng.gen::<f64>() < p {
-                                            let idx = rng.gen_range(0..response.len());
-                                            let bit = rng.gen_range(0u32..8);
-                                            if let Some(byte) = response.get_mut(idx) {
-                                                *byte ^= 1u8 << bit;
-                                            }
-                                        }
-                                        // dasp::allow(E1): same as above — the
-                                        // waiter may be gone; drop the reply.
-                                        let _ = env.reply_to.send((env.token, response));
-                                    }
-                                    FailureMode::Healthy => {
-                                        // dasp::allow(E1): same as above — the
-                                        // waiter may be gone; drop the reply.
-                                        let _ = env
-                                            .reply_to
-                                            .send((env.token, service.handle(&env.request)));
-                                    }
-                                }
-                            }
-                        });
-                    if let Ok(handle) = spawned {
-                        threads.push(handle);
-                    }
-                }
-                // If the OS refuses every worker thread, keep the handle
-                // but drop the sender: every call to this provider then
-                // fails with RpcError::Closed (a dead provider), instead
-                // of panicking the whole cluster at construction.
-                let tx = if threads.is_empty() { None } else { Some(tx) };
-                ProviderHandle {
+                            })
+                            .ok()
+                    })
+                    .collect();
+                // If the OS refuses every worker thread the provider is
+                // closed — calls to it fail with RpcError::Closed —
+                // instead of panicking the whole cluster at construction.
+                let transport = (!threads.is_empty()).then_some(Transport::Pool {
                     tx,
-                    failure,
-                    latency,
-                    threads,
-                }
+                    workers: threads,
+                });
+                ProviderHandle::new(id, transport)
             })
             .collect();
-        Cluster {
-            providers,
-            stats: TrafficStats::new(),
-            timeout,
-            health: HealthTracker::new(n, breaker, Arc::new(SystemClock::new())),
-        }
+        Self::from_providers(providers, timeout)
     }
 
-    /// Connect a cluster to remote TCP providers (one [`TcpClient`] per
-    /// address) instead of spawning in-process services. Everything
-    /// above the transport — worker pools, first-k-wins quorum, hedged
-    /// reads, retries, circuit breakers, failure injection — runs
-    /// unchanged; the only difference is that `handle` crosses a socket.
+    /// Connect to remote TCP providers, one [`TcpClient`] per address.
+    /// Requests go straight onto each provider's socket from the calling
+    /// thread; no client-side worker pool sits in between, so `workers`
+    /// is unused here (the parameter stays so existing callers compile).
     ///
-    /// The client's `error_hold` is derived from the cluster timeout so
-    /// a dead provider process surfaces as [`RpcError::Timeout`], the
-    /// same observable failure as an in-process crashed provider.
-    pub fn connect_tcp(
-        addrs: &[std::net::SocketAddr],
-        timeout: Duration,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        Self::connect_tcp_with(addrs, timeout, workers, TcpClientConfig::default())
-    }
-
-    /// [`Cluster::connect_tcp`] with an explicit client configuration —
-    /// the hook for setting [`TcpClientConfig::batch_window`] (request
-    /// coalescing) or timeouts per fleet. `error_hold` and
-    /// `call_timeout` are still derived from the cluster timeout so the
-    /// crash/timeout equivalence contract holds regardless of the
-    /// passed-in values.
+    /// Providers are dialed lazily, on first use: an unreachable one
+    /// behaves like a crashed provider — its attempts time out as
+    /// [`RpcError::Timeout`] — and heals once it comes up, so a client
+    /// starts whenever the providers it needs are reachable. Building
+    /// the cluster itself does not fail.
     pub fn connect_tcp_with(
         addrs: &[std::net::SocketAddr],
         timeout: Duration,
-        workers: usize,
+        _workers: usize,
         cfg: TcpClientConfig,
     ) -> std::io::Result<Self> {
-        let cfg = TcpClientConfig {
-            // Strictly above the cluster per-attempt timeout: the
-            // cluster's deadline always fires before the transport
-            // gives up, preserving crash/timeout equivalence.
-            error_hold: timeout.saturating_mul(2),
-            call_timeout: timeout.saturating_mul(2),
-            ..cfg
-        };
-        let mut services: Vec<Arc<dyn SharedService>> = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            services.push(Arc::new(TcpClient::connect(*addr, cfg.clone())?));
-        }
-        Ok(Self::spawn_concurrent(services, timeout, workers))
-    }
-
-    /// Spawn a worker-pool cluster from per-provider service factories,
-    /// tolerating individual construction failures. Each factory runs on
-    /// the calling thread (e.g. recovering a durable provider from its
-    /// directory); a factory that errors yields a *dead* provider — its
-    /// slot exists, every call to it fails fast with [`RpcError::Closed`]
-    /// — instead of aborting cluster construction. The per-provider
-    /// errors come back alongside the cluster so callers can report or
-    /// re-provision; the quorum layer treats dead slots like crashed
-    /// providers.
-    pub fn spawn_concurrent_recovering(
-        factories: Vec<ServiceFactory>,
-        timeout: Duration,
-        workers: usize,
-    ) -> (Self, Vec<Option<String>>) {
-        struct DeadService;
-        impl SharedService for DeadService {
-            fn handle(&self, _request: &[u8]) -> Vec<u8> {
-                Vec::new() // never reached: the slot's sender is dropped
-            }
-        }
-        let mut errors = Vec::with_capacity(factories.len());
-        let services: Vec<Arc<dyn SharedService>> = factories
-            .into_iter()
-            .map(|factory| match factory() {
-                Ok(service) => {
-                    errors.push(None);
-                    service
-                }
-                Err(e) => {
-                    errors.push(Some(e));
-                    Arc::new(DeadService) as Arc<dyn SharedService>
-                }
+        let providers = addrs
+            .iter()
+            .enumerate()
+            .map(|(id, addr)| {
+                let client = TcpClient::new(*addr, cfg.clone());
+                ProviderHandle::new(id, Some(Transport::Tcp(client)))
             })
             .collect();
-        let mut cluster = Self::spawn_concurrent(services, timeout, workers);
-        for (provider, error) in cluster.providers.iter_mut().zip(&errors) {
-            if error.is_some() {
-                // Dropping the sender drains the slot's workers and makes
-                // every call fail with RpcError::Closed.
-                provider.tx = None;
-            }
-        }
-        (cluster, errors)
+        Ok(Self::from_providers(providers, timeout))
+    }
+
+    /// Replace the default circuit-breaker tuning.
+    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
+        self.health = HealthTracker::new(self.n(), breaker, Arc::new(SystemClock::new()));
+        self
     }
 
     /// Number of providers.
@@ -495,8 +424,10 @@ impl Cluster {
             .map(|h| FailureSwitch(Arc::clone(&h.failure)))
     }
 
-    /// Inject real per-request latency at every provider (live WAN
-    /// emulation — complements the analytical [`crate::NetworkModel`]).
+    /// Inject a real link delay in front of every provider (live WAN
+    /// emulation — complements the analytical [`crate::NetworkModel`]):
+    /// each request is sent that long after it is issued. The delay
+    /// holds no provider thread, so requests to one provider overlap.
     /// The call timeout must exceed the injected latency.
     pub fn set_latency(&self, delay: Duration) {
         for h in &self.providers {
@@ -511,28 +442,22 @@ impl Cluster {
         }
     }
 
-    /// Stop accepting requests and join every provider thread. In-flight
-    /// requests are abandoned; subsequent calls return
-    /// [`RpcError::Closed`]. Idempotent; also invoked by `Drop`.
+    /// Stop accepting requests and join every thread the cluster owns:
+    /// pool workers, TCP readers and batchers. In-flight requests are
+    /// abandoned; subsequent calls return [`RpcError::Closed`].
+    /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         for p in &mut self.providers {
-            p.tx = None;
-        }
-        for p in &mut self.providers {
-            for t in p.threads.drain(..) {
-                let _ = t.join();
-            }
+            p.close();
         }
     }
 
     /// Call one provider, counting the exchange as a round trip.
     pub fn call(&self, provider: ProviderId, request: Vec<u8>) -> Result<Vec<u8>, RpcError> {
-        let result = self.send_one(provider, request, self.timeout);
-        self.stats.record_round_trip();
-        result
+        self.call_with_retry(provider, request, &RetryPolicy::none())
     }
 
-    /// Call one provider, retrying timed-out attempts per `policy` with
+    /// Call one provider, retrying failed attempts per `policy` with
     /// jittered exponential backoff. Counts one round trip. Only use for
     /// idempotent requests.
     pub fn call_with_retry(
@@ -541,52 +466,16 @@ impl Cluster {
         request: Vec<u8>,
         policy: &RetryPolicy,
     ) -> Result<Vec<u8>, RpcError> {
-        self.stats.record_round_trip();
-        let per_attempt = policy.per_attempt_timeout.unwrap_or(self.timeout);
-        let max_attempts = policy.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match self.send_one(provider, request.clone(), per_attempt) {
-                Ok(response) => return Ok(response),
-                Err(RpcError::Timeout(_)) if attempt < max_attempts => {
-                    std::thread::sleep(policy.backoff_for(provider, attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn send_one(
-        &self,
-        provider: ProviderId,
-        request: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, RpcError> {
-        let handle = self
-            .providers
-            .get(provider)
-            .ok_or(RpcError::UnknownProvider(provider))?;
-        let tx = handle.tx.as_ref().ok_or(RpcError::Closed)?;
-        self.stats.record_send(request.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let start = Instant::now();
-        tx.send(Envelope {
-            request,
-            reply_to: reply_tx,
-            token: 0,
-        })
-        .map_err(|_| RpcError::Closed)?;
-        match reply_rx.recv_timeout(timeout) {
-            Ok((_token, response)) => {
-                self.stats.record_recv(response.len());
-                self.health.record_success(provider, start.elapsed());
-                Ok(response)
-            }
-            Err(_) => {
-                self.health.record_failure(provider);
-                Err(RpcError::Timeout(provider))
-            }
+        let opts = QuorumOptions {
+            retry: policy.clone(),
+            mode: QuorumMode::All,
+            ..Default::default()
+        };
+        match self.run_quorum(vec![(provider, request)], 1, &opts).pop() {
+            Some((_, Ok(response))) => Ok(response),
+            Some((_, Err(ProviderOutcome::Unsent))) => Err(RpcError::UnknownProvider(provider)),
+            Some((_, Err(ProviderOutcome::Disconnected))) => Err(RpcError::Closed),
+            _ => Err(RpcError::Timeout(provider)),
         }
     }
 
@@ -707,12 +596,17 @@ impl Cluster {
         let per_attempt = opts.retry.per_attempt_timeout.unwrap_or(self.timeout);
         let max_attempts = opts.retry.max_attempts.max(1);
 
-        struct Cand {
+        struct Cand<'c> {
             provider: ProviderId,
+            /// `None` for an unknown provider id.
+            handle: Option<&'c ProviderHandle>,
             request: Vec<u8>,
             attempts: u32,
             /// (token, sent_at, deadline) of the attempt in flight.
             live: Option<(u64, Instant, Instant)>,
+            /// When the live attempt, held back by an injected link
+            /// delay, is actually sent.
+            send_at: Option<Instant>,
             retry_at: Option<Instant>,
             held: bool,
             done: Option<Result<Vec<u8>, ProviderOutcome>>,
@@ -720,18 +614,19 @@ impl Cluster {
 
         let mut cands: Vec<Cand> = requests
             .into_iter()
-            .map(|(provider, request)| Cand {
-                provider,
-                request,
-                attempts: 0,
-                live: None,
-                retry_at: None,
-                held: false,
-                done: if provider < self.providers.len() {
-                    None
-                } else {
-                    Some(Err(ProviderOutcome::Unsent))
-                },
+            .map(|(provider, request)| {
+                let handle = self.providers.get(provider);
+                Cand {
+                    provider,
+                    handle,
+                    request,
+                    attempts: 0,
+                    live: None,
+                    send_at: None,
+                    retry_at: None,
+                    held: false,
+                    done: handle.is_none().then_some(Err(ProviderOutcome::Unsent)),
+                }
             })
             .collect();
 
@@ -739,7 +634,7 @@ impl Cluster {
         // never-measured providers leading (so they get sampled), then —
         // only when the quorum cannot be met otherwise — providers whose
         // breaker is open.
-        let mut admitted: Vec<usize> = Vec::new();
+        let mut admitted: Vec<(usize, ProviderId)> = Vec::new();
         let mut held: VecDeque<usize> = VecDeque::new();
         for (idx, c) in cands.iter_mut().enumerate() {
             if c.done.is_some() {
@@ -753,51 +648,44 @@ impl Cluster {
                 c.held = true;
                 held.push_back(idx);
             } else {
-                admitted.push(idx);
+                admitted.push((idx, c.provider));
             }
         }
-        admitted.sort_by_key(|&i| {
-            let p = cands[i].provider;
-            match self.health.ewma_latency(p) {
-                None => (0u8, Duration::ZERO, p),
-                Some(d) => (1u8, d, p),
-            }
+        admitted.sort_by_key(|&(_, p)| match self.health.ewma_latency(p) {
+            None => (0u8, Duration::ZERO, p),
+            Some(d) => (1u8, d, p),
         });
-        let mut ready: VecDeque<usize> = admitted.into();
+        let mut ready: VecDeque<usize> = admitted.into_iter().map(|(idx, _)| idx).collect();
 
         let (reply_tx, reply_rx) = unbounded::<(u64, Vec<u8>)>();
-        // token → (candidate index, sent_at); stale tokens stay mapped so
-        // a slow first attempt can still satisfy its candidate.
-        let mut token_map: HashMap<u64, (usize, Instant)> = HashMap::new();
-        let mut next_token: u64 = 0;
+        // (candidate index, sent_at) of every attempt, indexed by its
+        // token; stale tokens stay mapped so a slow first attempt can
+        // still satisfy its candidate.
+        let mut sent: Vec<(usize, Instant)> = Vec::new();
         let mut successes = 0usize;
 
-        let launch = |cands: &mut [Cand],
-                      idx: usize,
-                      token_map: &mut HashMap<u64, (usize, Instant)>,
-                      next_token: &mut u64| {
-            let c = &mut cands[idx];
-            c.attempts += 1;
-            let token = *next_token;
-            *next_token += 1;
-            let now = Instant::now();
-            let sent = match self.providers[c.provider].tx.as_ref() {
-                Some(tx) => {
-                    self.stats.record_send(c.request.len());
-                    tx.send(Envelope {
-                        request: c.request.clone(),
-                        reply_to: reply_tx.clone(),
-                        token,
-                    })
-                    .is_ok()
-                }
-                None => false,
+        // Hand the live attempt to its provider's transport.
+        let send = |c: &mut Cand| {
+            let (Some((token, _, _)), Some(handle)) = (c.live, c.handle) else {
+                return;
             };
-            if sent {
-                token_map.insert(token, (idx, now));
-                c.live = Some((token, now, now + per_attempt));
-            } else {
+            if !handle.submit(&c.request, &reply_tx, token) {
                 c.done = Some(Err(ProviderOutcome::Disconnected));
+            }
+        };
+        let launch = |cands: &mut [Cand], idx: usize, sent: &mut Vec<(usize, Instant)>| {
+            let Some(c) = cands.get_mut(idx) else { return };
+            c.attempts += 1;
+            let token = sent.len() as u64;
+            let now = Instant::now();
+            self.stats.record_send(c.request.len());
+            sent.push((idx, now));
+            c.live = Some((token, now, now + per_attempt));
+            let delay = c.handle.map_or(Duration::ZERO, |h| *h.latency.lock());
+            if delay.is_zero() {
+                send(c);
+            } else {
+                c.send_at = Some(now + delay);
             }
         };
 
@@ -809,11 +697,19 @@ impl Cluster {
         };
         for _ in 0..wave {
             let Some(idx) = ready.pop_front() else { break };
-            launch(&mut cands, idx, &mut token_map, &mut next_token);
+            launch(&mut cands, idx, &mut sent);
         }
 
         loop {
             let now = Instant::now();
+
+            // Send attempts whose injected link delay has elapsed.
+            for c in cands.iter_mut() {
+                if c.done.is_none() && matches!(c.send_at, Some(at) if now >= at) {
+                    c.send_at = None;
+                    send(c);
+                }
+            }
 
             // Finalize attempts past their deadline: record the failure,
             // schedule a retry if budget and the quorum still need it,
@@ -827,19 +723,21 @@ impl Cluster {
                 .map(|(i, _)| i)
                 .collect();
             for idx in timed_out {
-                let provider = cands[idx].provider;
-                self.health.record_failure(provider);
-                cands[idx].live = None;
-                if cands[idx].attempts < max_attempts && successes < need {
-                    cands[idx].retry_at =
-                        Some(now + opts.retry.backoff_for(provider, cands[idx].attempts));
-                } else {
-                    let attempts = cands[idx].attempts;
-                    cands[idx].done = Some(Err(ProviderOutcome::TimedOut { attempts }));
+                if let Some(c) = cands.get_mut(idx) {
+                    self.health.record_failure(c.provider);
+                    c.live = None;
+                    c.send_at = None;
+                    if c.attempts < max_attempts && successes < need {
+                        c.retry_at = Some(now + opts.retry.backoff_for(c.provider, c.attempts));
+                    } else {
+                        c.done = Some(Err(ProviderOutcome::TimedOut {
+                            attempts: c.attempts,
+                        }));
+                    }
                 }
                 if successes < want {
                     if let Some(next) = ready.pop_front() {
-                        launch(&mut cands, next, &mut token_map, &mut next_token);
+                        launch(&mut cands, next, &mut sent);
                     }
                 }
             }
@@ -856,12 +754,16 @@ impl Cluster {
                 .map(|(i, _)| i)
                 .collect();
             for idx in due {
-                cands[idx].retry_at = None;
+                let Some(c) = cands.get_mut(idx) else {
+                    continue;
+                };
+                c.retry_at = None;
                 if successes < need {
-                    launch(&mut cands, idx, &mut token_map, &mut next_token);
+                    launch(&mut cands, idx, &mut sent);
                 } else {
-                    let attempts = cands[idx].attempts;
-                    cands[idx].done = Some(Err(ProviderOutcome::TimedOut { attempts }));
+                    c.done = Some(Err(ProviderOutcome::TimedOut {
+                        attempts: c.attempts,
+                    }));
                 }
             }
 
@@ -899,7 +801,7 @@ impl Cluster {
                 let Some(idx) = ready.pop_front().or_else(|| held.pop_front()) else {
                     break;
                 };
-                launch(&mut cands, idx, &mut token_map, &mut next_token);
+                launch(&mut cands, idx, &mut sent);
             }
 
             if successes >= want {
@@ -921,7 +823,13 @@ impl Cluster {
             let next_event = cands
                 .iter()
                 .filter(|c| c.done.is_none())
-                .flat_map(|c| c.live.map(|(_, _, dl)| dl).into_iter().chain(c.retry_at))
+                .flat_map(|c| {
+                    c.live
+                        .map(|(_, _, dl)| dl)
+                        .into_iter()
+                        .chain(c.retry_at)
+                        .chain(c.send_at)
+                })
                 .min();
             let Some(next_event) = next_event else { break };
             let wait = next_event
@@ -930,46 +838,56 @@ impl Cluster {
             let Ok((token, payload)) = reply_rx.recv_timeout(wait) else {
                 continue;
             };
-            let Some(&(idx, sent_at)) = token_map.get(&token) else {
+            let Some(&(idx, sent_at)) = usize::try_from(token).ok().and_then(|t| sent.get(t))
+            else {
                 continue;
             };
-            if cands[idx].done.is_some() {
+            let Some(c) = cands.get_mut(idx) else {
+                continue;
+            };
+            // An omitted reply never arrived: its attempt rides to its
+            // deadline.
+            let Some(payload) = c.handle.and_then(|h| h.inject(payload)) else {
+                continue;
+            };
+            if c.done.is_some() {
                 continue; // duplicate/late response for a settled candidate
             }
             self.stats.record_recv(payload.len());
-            let provider = cands[idx].provider;
             let verdict = match opts.validate {
-                Some(f) => f(provider, &payload),
+                Some(f) => f(c.provider, &payload),
                 None => Ok(()),
             };
             match verdict {
                 Ok(()) => {
-                    self.health.record_success(provider, sent_at.elapsed());
-                    cands[idx].live = None;
-                    cands[idx].retry_at = None;
-                    cands[idx].done = Some(Ok(payload));
+                    self.health.record_success(c.provider, sent_at.elapsed());
+                    c.live = None;
+                    c.send_at = None;
+                    c.retry_at = None;
+                    c.done = Some(Ok(payload));
                     successes += 1;
                 }
                 Err(reason) => {
-                    self.health.record_failure(provider);
-                    if cands[idx].live.map(|(t, _, _)| t) == Some(token) {
-                        cands[idx].live = None;
+                    self.health.record_failure(c.provider);
+                    if c.live.map(|(t, _, _)| t) == Some(token) {
+                        c.live = None;
+                        c.send_at = None;
                     }
-                    if cands[idx].live.is_none() && cands[idx].retry_at.is_none() {
-                        if cands[idx].attempts < max_attempts && successes < need {
-                            cands[idx].retry_at = Some(
-                                Instant::now()
-                                    + opts.retry.backoff_for(provider, cands[idx].attempts),
+                    if c.live.is_none() && c.retry_at.is_none() {
+                        if c.attempts < max_attempts && successes < need {
+                            c.retry_at = Some(
+                                Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
                             );
                         } else {
-                            let attempts = cands[idx].attempts;
-                            cands[idx].done =
-                                Some(Err(ProviderOutcome::Rejected { attempts, reason }));
+                            c.done = Some(Err(ProviderOutcome::Rejected {
+                                attempts: c.attempts,
+                                reason,
+                            }));
                         }
                     }
                     if successes < want {
                         if let Some(next) = ready.pop_front() {
-                            launch(&mut cands, next, &mut token_map, &mut next_token);
+                            launch(&mut cands, next, &mut sent);
                         }
                     }
                 }
@@ -1004,16 +922,23 @@ mod tests {
     use super::*;
 
     fn echo_cluster(n: usize) -> Cluster {
-        let services: Vec<Box<dyn Service>> = (0..n)
+        let services: Vec<Arc<dyn SharedService>> = (0..n)
             .map(|id| {
-                Box::new(move |req: &[u8]| {
+                Arc::new(move |req: &[u8]| {
                     let mut out = vec![id as u8];
                     out.extend_from_slice(req);
                     out
-                }) as Box<dyn Service>
+                }) as Arc<dyn SharedService>
             })
             .collect();
-        Cluster::spawn(services, Duration::from_millis(200))
+        Cluster::spawn_concurrent(services, Duration::from_millis(200), 1)
+    }
+
+    fn mirror_cluster(n: usize, timeout: Duration, breaker: BreakerConfig) -> Cluster {
+        let services: Vec<Arc<dyn SharedService>> = (0..n)
+            .map(|_| Arc::new(|req: &[u8]| req.to_vec()) as Arc<dyn SharedService>)
+            .collect();
+        Cluster::spawn_concurrent(services, timeout, 1).with_breaker(breaker)
     }
 
     #[test]
@@ -1196,11 +1121,8 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let services: Vec<Box<dyn Service>> = (0..2)
-            .map(|_| Box::new(|req: &[u8]| req.to_vec()) as Box<dyn Service>)
-            .collect();
-        let mut cluster = Cluster::spawn_with_breaker(
-            services,
+        let mut cluster = mirror_cluster(
+            2,
             Duration::from_millis(50),
             BreakerConfig {
                 failure_threshold: 2,
@@ -1243,11 +1165,8 @@ mod tests {
 
     #[test]
     fn open_breaker_is_force_included_when_quorum_requires_it() {
-        let services: Vec<Box<dyn Service>> = (0..2)
-            .map(|_| Box::new(|req: &[u8]| req.to_vec()) as Box<dyn Service>)
-            .collect();
-        let cluster = Cluster::spawn_with_breaker(
-            services,
+        let cluster = mirror_cluster(
+            2,
             Duration::from_millis(50),
             BreakerConfig {
                 failure_threshold: 1,
@@ -1338,6 +1257,16 @@ mod tests {
         assert!(
             elapsed < Duration::from_millis(85),
             "parallel fan-out took {elapsed:?}; latency must not serialize"
+        );
+        // Three requests to one single-worker provider overlap too: the
+        // delay is a link delay and holds no provider thread.
+        let start = std::time::Instant::now();
+        let results = cluster.call_many((0..3).map(|i| (0, vec![i])).collect());
+        assert!(results.iter().all(|(_, r)| r.is_ok()));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(85),
+            "three requests to one provider took {elapsed:?}; the delay must not queue them"
         );
         cluster.set_latency(Duration::ZERO);
         let start = std::time::Instant::now();
@@ -1438,14 +1367,19 @@ mod tests {
 
     #[test]
     fn stateful_service_keeps_state_across_calls() {
-        struct Counter(u64);
-        impl Service for Counter {
-            fn handle(&mut self, _req: &[u8]) -> Vec<u8> {
-                self.0 += 1;
-                self.0.to_le_bytes().to_vec()
+        struct Counter(Mutex<u64>);
+        impl SharedService for Counter {
+            fn handle(&self, _req: &[u8]) -> Vec<u8> {
+                let mut n = self.0.lock();
+                *n += 1;
+                n.to_le_bytes().to_vec()
             }
         }
-        let cluster = Cluster::spawn(vec![Box::new(Counter(0))], Duration::from_millis(200));
+        let cluster = Cluster::spawn_concurrent(
+            vec![Arc::new(Counter(Mutex::new(0)))],
+            Duration::from_millis(200),
+            1,
+        );
         cluster.call(0, vec![]).unwrap();
         let second = cluster.call(0, vec![]).unwrap();
         assert_eq!(u64::from_le_bytes(second.try_into().unwrap()), 2);

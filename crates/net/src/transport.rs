@@ -1,26 +1,24 @@
 //! Socket-backed client transport: a multiplexing [`TcpClient`] that
-//! plugs into [`crate::rpc::Cluster`] as a [`SharedService`], plus a
+//! the [`crate::rpc::Cluster`] quorum engine submits to directly, plus a
 //! simple blocking per-connection handle for load generators.
 //!
 //! The design goal is *transport independence*: `Cluster`, the quorum
-//! engine, hedged reads, retries and circuit breakers were written
-//! against in-process services and must run unchanged over sockets. A
-//! [`TcpClient`] is exactly an in-process service whose `handle` happens
-//! to cross a wire: many cluster worker threads call it concurrently,
-//! requests are written framed-and-tokened onto one shared connection,
-//! and a dedicated reader thread routes response frames back to callers
-//! by token — the same out-of-order multiplexing the worker pools use.
+//! engine, hedged reads, retries, circuit breakers and failure injection
+//! were written against in-process services and must run unchanged over
+//! sockets. [`TcpClient::submit`] is the socket half of the cluster's one
+//! dispatch step: it writes a framed, tokened request onto one shared
+//! connection from the caller's thread (or queues it to the batcher),
+//! and a dedicated reader thread sends each response straight onto the
+//! caller's reply channel, tagged with the caller's token — the same
+//! out-of-order multiplexing the in-process worker pools use.
 //!
 //! Failure mapping keeps the cluster's semantics: a dead or unreachable
-//! provider process behaves like a crashed in-process provider. On
-//! transport failure, [`TcpClient::handle`] quietly retries (the
-//! connection may heal) until [`TcpClientConfig::error_hold`] elapses;
-//! the cluster's per-attempt timeout fires first, so callers observe
+//! provider process behaves like a crashed in-process provider. A
+//! request the transport fails to deliver is simply never answered, so
+//! the quorum attempt runs into its deadline and callers observe
 //! [`crate::RpcError::Timeout`] — precisely what a crashed provider
-//! produces. Only after the hold expires does `handle` give up and
-//! return an empty payload (providers never produce empty responses, so
-//! downstream share-consistency checks treat it like a corrupt
-//! Byzantine response).
+//! produces. The connection dials lazily and redials on the next request
+//! after a failure, so a provider that comes back heals on its own.
 
 use crate::wire::{
     batch_items, encode_frame, encode_frame_into, BatchFrameBuilder, FrameDecoder, FrameError,
@@ -73,16 +71,17 @@ pub struct TcpClientConfig {
     /// How long one [`TcpClient::call`] waits for its response.
     pub call_timeout: Duration,
     /// Upper bound on one blocked socket write. The request write in
-    /// [`TcpClient::call`] happens under the connection lock, so without
-    /// a bound a stalled peer with a full TCP send buffer would wedge
-    /// every concurrent caller plus `close()`. On expiry the connection
-    /// is torn down and the call fails with
+    /// [`TcpClient::submit`] happens on the caller's thread under the
+    /// connection lock, so without a bound a stalled peer with a full TCP
+    /// send buffer would wedge every concurrent caller plus `close()`. On
+    /// expiry the connection is torn down and the submit fails with
     /// [`TransportError::TimedOut`].
     pub write_timeout: Duration,
     /// Minimum spacing between reconnection attempts.
     pub reconnect_backoff: Duration,
     /// How long [`SharedService::handle`] keeps retrying a failing
-    /// transport before giving up. Set above the cluster's per-attempt
+    /// transport before giving up, when a `TcpClient` is served from an
+    /// in-process worker pool. Set it above the cluster's per-attempt
     /// timeout so a dead provider surfaces as a timeout (crash
     /// equivalence), yet small enough that shutdown does not hang.
     pub error_hold: Duration,
@@ -139,7 +138,9 @@ struct BatchItem {
     payload: Vec<u8>,
 }
 
-type PendingMap = HashMap<u64, Sender<Result<Vec<u8>, TransportError>>>;
+/// Where a response goes: the caller's reply channel and the caller's
+/// token, keyed by the wire token the request went out under.
+type PendingMap = HashMap<u64, (Sender<(u64, Vec<u8>)>, u64)>;
 
 struct ConnState {
     /// The live connection's write half; `None` while disconnected.
@@ -162,9 +163,9 @@ struct Inner {
     /// or the client is closed (closing drops the sender, which ends the
     /// batcher's `recv` loop).
     batch_tx: Mutex<Option<Sender<BatchItem>>>,
-    /// Calls handed (or about to be handed) to the batcher that it has
+    /// Requests handed (or about to be handed) to the batcher that it has
     /// not yet pulled off the queue. The batcher flushes early when this
-    /// hits zero: every in-flight call is packed, so waiting out the
+    /// hits zero: every in-flight request is packed, so waiting out the
     /// window would only add latency.
     unsent: AtomicUsize,
     next_token: AtomicU64,
@@ -172,15 +173,50 @@ struct Inner {
     closed: AtomicBool,
 }
 
-/// A multiplexing RPC client over one TCP connection (reconnecting on
-/// failure). Safe to call from many threads at once; implements
-/// [`SharedService`] so a [`crate::Cluster`] can treat a remote provider
-/// exactly like an in-process one.
+/// A multiplexing RPC client over one TCP connection (dialed lazily and
+/// redialed on failure). Safe to use from many threads at once.
 pub struct TcpClient {
     inner: Arc<Inner>,
 }
 
 impl TcpClient {
+    /// A client for the provider at `addr` that dials lazily: the first
+    /// request connects, and so does the first after a connection
+    /// drops. An unreachable provider is not an error here; requests to
+    /// it fail until it comes up.
+    pub fn new(addr: SocketAddr, cfg: TcpClientConfig) -> Self {
+        let batching = cfg.batch_window > Duration::ZERO;
+        let inner = Arc::new(Inner {
+            addr,
+            cfg,
+            state: Mutex::new(ConnState {
+                stream: None,
+                readers: Vec::new(),
+                last_dial: None,
+            }),
+            pending: Mutex::new(HashMap::new()),
+            batch_tx: Mutex::new(None),
+            unsent: AtomicUsize::new(0),
+            next_token: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
+        });
+        if batching {
+            let (btx, brx) = unbounded::<BatchItem>();
+            let batcher_inner = Arc::clone(&inner);
+            let spawned = std::thread::Builder::new()
+                .name("dasp-tcp-batcher".to_string())
+                .spawn(move || batcher_loop(batcher_inner, brx));
+            if let Ok(handle) = spawned {
+                *inner.batch_tx.lock() = Some(btx);
+                // The batcher joins through the same drain as readers.
+                inner.state.lock().readers.push(handle);
+            }
+            // Spawn failure falls back to direct per-request writes.
+        }
+        TcpClient { inner }
+    }
+
     /// Resolve `addr` and connect. Fails fast if the provider is down;
     /// later disconnections reconnect transparently.
     pub fn connect<A: ToSocketAddrs>(addr: A, cfg: TcpClientConfig) -> std::io::Result<Self> {
@@ -188,23 +224,7 @@ impl TcpClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no address resolved"))?;
-        let client = TcpClient {
-            inner: Arc::new(Inner {
-                addr,
-                cfg,
-                state: Mutex::new(ConnState {
-                    stream: None,
-                    readers: Vec::new(),
-                    last_dial: None,
-                }),
-                pending: Mutex::new(HashMap::new()),
-                batch_tx: Mutex::new(None),
-                unsent: AtomicUsize::new(0),
-                next_token: AtomicU64::new(0),
-                epoch: AtomicU64::new(0),
-                closed: AtomicBool::new(false),
-            }),
-        };
+        let client = Self::new(addr, cfg);
         {
             let mut st = client.inner.state.lock();
             // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh thread —
@@ -212,107 +232,95 @@ impl TcpClient {
             Self::dial(&client.inner, &mut st)
                 .map_err(|e| std::io::Error::new(ErrorKind::ConnectionRefused, e.to_string()))?;
         }
-        if client.inner.cfg.batch_window > Duration::ZERO {
-            let (btx, brx) = unbounded::<BatchItem>();
-            let batcher_inner = Arc::clone(&client.inner);
-            let spawned = std::thread::Builder::new()
-                .name("dasp-tcp-batcher".to_string())
-                .spawn(move || batcher_loop(batcher_inner, brx));
-            if let Ok(handle) = spawned {
-                *client.inner.batch_tx.lock() = Some(btx);
-                // The batcher joins through the same drain as readers.
-                client.inner.state.lock().readers.push(handle);
-            }
-            // Spawn failure falls back to direct per-call writes.
-        }
         Ok(client)
     }
 
-    /// The provider address this client dials.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.inner.addr
+    /// Send one request without waiting for its response: the reader
+    /// thread sends `(token, response)` on `reply_to` when it arrives.
+    /// The request is written on the calling thread, bounded by
+    /// [`TcpClientConfig::write_timeout`], or queued to the batcher when
+    /// [`TcpClientConfig::batch_window`] is nonzero. A request lost to a
+    /// transport failure is never answered; an `Err` reports a failure
+    /// seen before the request left.
+    pub fn submit(
+        &self,
+        payload: &[u8],
+        reply_to: Sender<(u64, Vec<u8>)>,
+        token: u64,
+    ) -> Result<(), TransportError> {
+        self.enqueue(payload, reply_to, token).map(|_wire| ())
     }
 
-    /// True while a connection is established.
-    pub fn is_connected(&self) -> bool {
-        self.inner.state.lock().stream.is_some()
-    }
-
-    /// One request/response exchange with a typed error. Concurrent
-    /// callers share the connection; responses are matched by token.
-    /// With a nonzero [`TcpClientConfig::batch_window`] the request is
-    /// queued to the batcher thread, which packs concurrent calls into
-    /// one batch frame; otherwise it is written directly.
+    /// One request/response exchange with a typed error: [`Self::submit`]
+    /// plus a private reply channel, waiting up to
+    /// [`TcpClientConfig::call_timeout`].
     pub fn call(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let (tx, rx) = bounded(1);
+        let wire = self.enqueue(payload, tx, 0)?;
+        match rx.recv_timeout(self.inner.cfg.call_timeout) {
+            Ok((_token, response)) => Ok(response),
+            Err(RecvTimeoutError::Timeout) => {
+                self.inner.pending.lock().remove(&wire);
+                Err(TransportError::TimedOut)
+            }
+            // The reply route was dropped: the connection failed, or the
+            // client closed, before the response came.
+            Err(RecvTimeoutError::Disconnected) if self.inner.closed.load(Ordering::Relaxed) => {
+                Err(TransportError::Closed)
+            }
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Io(
+                "connection lost before the response".to_string(),
+            )),
+        }
+    }
+
+    /// Register the request's reply route and send it; returns the wire
+    /// token it went out under.
+    fn enqueue(
+        &self,
+        payload: &[u8],
+        reply_to: Sender<(u64, Vec<u8>)>,
+        token: u64,
+    ) -> Result<u64, TransportError> {
         if self.inner.closed.load(Ordering::Relaxed) {
             return Err(TransportError::Closed);
         }
-        let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let wire = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let batch_tx = self.inner.batch_tx.lock().clone();
         if let Some(btx) = batch_tx {
             // dasp::allow(L1): `pending` is taken alone here — consistent
             // with the crate-wide `state` -> `pending` order.
-            self.inner.pending.lock().insert(token, tx);
+            self.inner.pending.lock().insert(wire, (reply_to, token));
             // Count *before* sending so the batcher's early-flush check
             // (`unsent == 0`) can never miss an item that is mid-send.
             self.inner.unsent.fetch_add(1, Ordering::AcqRel);
             let item = BatchItem {
-                token,
+                token: wire,
                 payload: payload.to_vec(),
             };
             if btx.send(item).is_err() {
                 self.inner.unsent.fetch_sub(1, Ordering::AcqRel);
-                self.inner.pending.lock().remove(&token);
+                self.inner.pending.lock().remove(&wire);
                 return Err(TransportError::Closed);
             }
-            return match rx.recv_timeout(self.inner.cfg.call_timeout) {
-                Ok(result) => result,
-                Err(_) => {
-                    self.inner.pending.lock().remove(&token);
-                    Err(TransportError::TimedOut)
-                }
-            };
+            return Ok(wire);
         }
-        {
-            let mut st = self.inner.state.lock();
-            if st.stream.is_none() {
-                // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh
-                // thread — that chain does not run under this guard.
-                Self::dial(&self.inner, &mut st)?;
-            }
-            // dasp::allow(L1): lock order is `state` -> `pending` everywhere
-            // (here and in `reader_loop`'s teardown); never the reverse.
-            self.inner.pending.lock().insert(token, tx);
-            let frame = encode_frame(token, FrameKind::Request, payload);
-            let Some(stream) = st.stream.as_mut() else {
-                // dasp::allow(L1): same `state` -> `pending` order as above.
-                self.inner.pending.lock().remove(&token);
-                return Err(TransportError::Closed);
-            };
-            if let Err(e) = stream.write_all(&frame) {
-                let _ = stream.shutdown(Shutdown::Both);
-                st.stream = None;
-                // dasp::allow(L1): same `state` -> `pending` order as above.
-                self.inner.pending.lock().remove(&token);
-                // A write timeout (WouldBlock on Unix, TimedOut on
-                // Windows) may have left a partial frame on the wire;
-                // the connection is already torn down above.
-                let err = if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                    TransportError::TimedOut
-                } else {
-                    TransportError::Io(e.to_string())
-                };
-                return Err(err);
-            }
+        let frame = encode_frame(wire, FrameKind::Request, payload);
+        let mut st = self.inner.state.lock();
+        // Register before writing: the response may beat this thread
+        // back to the map.
+        // dasp::allow(L1): lock order is `state` -> `pending` everywhere
+        // (here and in `reader_loop`'s teardown); never the reverse.
+        self.inner.pending.lock().insert(wire, (reply_to, token));
+        // dasp::allow(L1): `write_frame` may `dial`, which spawns
+        // `reader_loop` on a fresh thread — that chain does not run under
+        // this guard.
+        if let Err(e) = write_frame(&self.inner, &mut st, &frame) {
+            // dasp::allow(L1): same `state` -> `pending` order as above.
+            self.inner.pending.lock().remove(&wire);
+            return Err(e);
         }
-        match rx.recv_timeout(self.inner.cfg.call_timeout) {
-            Ok(result) => result,
-            Err(_) => {
-                self.inner.pending.lock().remove(&token);
-                Err(TransportError::TimedOut)
-            }
-        }
+        Ok(wire)
     }
 
     /// Dial a fresh connection and spawn its reader. Caller holds `state`.
@@ -365,20 +373,15 @@ impl TcpClient {
         let readers: Vec<_> = {
             let mut st = self.inner.state.lock();
             if let Some(stream) = st.stream.take() {
-                let _ = stream.shutdown(Shutdown::Both);
+                hang_up(&stream);
             }
             st.readers.drain(..).collect()
         };
         for h in readers {
             let _ = h.join();
         }
-        let mut pending = self.inner.pending.lock();
-        for (_t, tx) in pending.drain() {
-            // dasp::allow(L1, E1): each `tx` is a capacity-1 channel that sees
-            // at most one send ever — this send can never block — and the
-            // waiter may already have timed out and dropped its rx.
-            let _ = tx.send(Err(TransportError::Closed));
-        }
+        // Dropping the reply routes wakes every waiting `call`.
+        self.inner.pending.lock().clear();
     }
 }
 
@@ -473,9 +476,8 @@ fn batcher_loop(inner: Arc<Inner>, rx: Receiver<BatchItem>) {
 /// Encode the packed requests (a plain frame for one, a batch frame for
 /// many) and write them under the connection lock — dialing first if the
 /// connection dropped, with the same error mapping as the direct path.
-/// On failure every packed call is woken with the error through
-/// `pending` (each token is removed at most once, so the capacity-1
-/// reply channels never see a second send).
+/// On failure the packed requests' reply routes are dropped: a `call`
+/// wakes with an error, a quorum attempt runs into its deadline.
 fn write_pack(inner: &Arc<Inner>, items: &[BatchItem], frame: &mut Vec<u8>) {
     frame.clear();
     if let [only] = items {
@@ -487,131 +489,123 @@ fn write_pack(inner: &Arc<Inner>, items: &[BatchItem], frame: &mut Vec<u8>) {
         }
         b.finish();
     }
-    let result = {
-        let mut st = inner.state.lock();
-        (|| -> Result<(), TransportError> {
-            if st.stream.is_none() {
-                // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh
-                // thread — that chain does not run under this guard.
-                TcpClient::dial(inner, &mut st)?;
-            }
-            let Some(stream) = st.stream.as_mut() else {
-                return Err(TransportError::Closed);
-            };
-            if let Err(e) = stream.write_all(frame) {
-                let _ = stream.shutdown(Shutdown::Both);
-                st.stream = None;
-                // A write timeout may have left a partial frame on the
-                // wire; the connection is already torn down above.
-                return Err(
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                        TransportError::TimedOut
-                    } else {
-                        TransportError::Io(e.to_string())
-                    },
-                );
-            }
-            Ok(())
-        })()
-    };
-    if let Err(err) = result {
+    // dasp::allow(L1): `write_frame` may `dial`, which spawns `reader_loop`
+    // on a fresh thread — that chain does not run under this guard.
+    let written = write_frame(inner, &mut inner.state.lock(), frame);
+    if written.is_err() {
         // dasp::allow(L1): `state` was released above; `pending` is taken
-        // alone, and each `tx` is a capacity-1, single-send channel.
+        // alone.
         let mut pending = inner.pending.lock();
         for item in items {
-            if let Some(tx) = pending.remove(&item.token) {
-                // dasp::allow(L1, E1): capacity-1, single-send channel — never
-                // blocks, and the waiter may have timed out and dropped it.
-                let _ = tx.send(Err(err.clone()));
-            }
+            pending.remove(&item.token);
         }
+    }
+}
+
+/// Shut both halves of a connection. Best effort: the peer may already
+/// be gone.
+fn hang_up(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Write one encoded frame on the connection, dialing first if it
+/// dropped. Caller holds `state`. A failed write tears the connection
+/// down: a write timeout (WouldBlock on Unix, TimedOut on Windows) may
+/// have left a partial frame on the wire.
+fn write_frame(inner: &Arc<Inner>, st: &mut ConnState, frame: &[u8]) -> Result<(), TransportError> {
+    if st.stream.is_none() {
+        TcpClient::dial(inner, st)?;
+    }
+    let Some(stream) = st.stream.as_mut() else {
+        return Err(TransportError::Closed);
+    };
+    if let Err(e) = stream.write_all(frame) {
+        hang_up(stream);
+        st.stream = None;
+        return Err(
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                TransportError::TimedOut
+            } else {
+                TransportError::Io(e.to_string())
+            },
+        );
+    }
+    Ok(())
+}
+
+/// Route one response to the caller waiting for it.
+fn deliver(inner: &Inner, wire: u64, payload: &[u8]) {
+    let route = inner.pending.lock().remove(&wire);
+    if let Some((reply_to, token)) = route {
+        // dasp::allow(E1): the caller may have stopped waiting — a quorum
+        // that already returned, or a timed-out call — and dropped its rx.
+        let _ = reply_to.send((token, payload.to_vec()));
     }
 }
 
 fn reader_loop(inner: Arc<Inner>, mut stream: TcpStream, my_epoch: u64) {
     let mut decoder = FrameDecoder::with_max_body(inner.cfg.max_frame_body);
     let mut buf = vec![0u8; 64 * 1024];
-    let error = loop {
+    // Read until the peer closes, the socket fails, or the peer sends
+    // bytes a client must not accept.
+    loop {
         match stream.read(&mut buf) {
-            Ok(0) => break TransportError::Closed,
+            Ok(0) => break,
             Ok(n) => {
                 // dasp::allow(P3): `read` returns `n <= buf.len()`.
                 decoder.extend(&buf[..n]);
-                let mut failed = None;
-                loop {
-                    match decoder.next_frame_view() {
-                        Ok(Some(view)) => match view.kind {
-                            FrameKind::Response => {
-                                if let Some(tx) = inner.pending.lock().remove(&view.token) {
-                                    // dasp::allow(E1): the requester may have
-                                    // timed out and dropped its reply rx.
-                                    let _ = tx.send(Ok(view.payload.to_vec()));
-                                }
-                            }
-                            FrameKind::BatchResponse => {
-                                for item in batch_items(view.payload) {
-                                    match item {
-                                        Ok((token, payload)) => {
-                                            if let Some(tx) = inner.pending.lock().remove(&token) {
-                                                // dasp::allow(E1): the requester
-                                                // may have timed out already.
-                                                let _ = tx.send(Ok(payload.to_vec()));
-                                            }
-                                        }
-                                        Err(e) => {
-                                            failed = Some(TransportError::Frame(e));
-                                            break;
-                                        }
-                                    }
-                                }
-                                if failed.is_some() {
-                                    break;
-                                }
-                            }
-                            FrameKind::Request | FrameKind::BatchRequest => {
-                                failed = Some(TransportError::Frame(FrameError::BadKind(
-                                    view.kind.to_u8(),
-                                )));
-                                break;
-                            }
-                        },
-                        Ok(None) => break,
-                        Err(e) => {
-                            failed = Some(TransportError::Frame(e));
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    break e;
+                if !deliver_frames(&inner, &mut decoder) {
+                    break;
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => break TransportError::Io(e.to_string()),
+            Err(_) => break,
         }
-    };
-    let _ = stream.shutdown(Shutdown::Both);
+    }
+    hang_up(&stream);
     // Tear down only if this connection is still the current one; a
     // newer epoch means a reconnect already superseded us and the
     // pending map belongs to the new connection.
     let mut st = inner.state.lock();
     if inner.epoch.load(Ordering::SeqCst) == my_epoch {
         if let Some(s) = st.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
+            hang_up(&s);
         }
-        // dasp::allow(L1): `state` -> `pending` is the crate-wide lock order,
-        // and each `tx` is a capacity-1, single-send channel — never blocks.
-        let mut pending = inner.pending.lock();
-        for (_t, tx) in pending.drain() {
-            // dasp::allow(L1, E1): capacity-1, single-send channel — never
-            // blocks, and the waiter may have timed out and dropped it.
-            let _ = tx.send(Err(error.clone()));
+        // The requests in flight on this connection are lost: dropping
+        // their reply routes wakes a waiting `call` and leaves a quorum
+        // attempt to its deadline.
+        // dasp::allow(L1): `state` -> `pending` is the crate-wide lock order.
+        inner.pending.lock().clear();
+    }
+}
+
+/// Route every complete response frame in `decoder`. False when the
+/// peer sent a frame that does not decode or is not a response.
+fn deliver_frames(inner: &Inner, decoder: &mut FrameDecoder) -> bool {
+    loop {
+        match decoder.next_frame_view() {
+            Ok(None) => return true,
+            Ok(Some(view)) => match view.kind {
+                FrameKind::Response => deliver(inner, view.token, view.payload),
+                FrameKind::BatchResponse => {
+                    for item in batch_items(view.payload) {
+                        let Ok((token, payload)) = item else {
+                            return false;
+                        };
+                        deliver(inner, token, payload);
+                    }
+                }
+                FrameKind::Request | FrameKind::BatchRequest => return false,
+            },
+            Err(_) => return false,
         }
     }
 }
 
 impl SharedService for TcpClient {
-    /// Cluster-facing entry point. Retries transport failures within
+    /// Blocking entry point for serving a remote provider from an
+    /// in-process worker pool ([`crate::Cluster::spawn_concurrent`]), e.g.
+    /// behind a timing wrapper. Retries transport failures within
     /// [`TcpClientConfig::error_hold`] so transient disconnects heal
     /// invisibly and hard-dead providers surface as cluster timeouts —
     /// identical to an in-process crashed provider.

@@ -185,7 +185,13 @@ fn large_payload_roundtrip() {
 fn cluster_runs_over_sockets() {
     let servers: Vec<TcpServer> = (0..3).map(|i| serve(0xC0 + i as u8)).collect();
     let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-    let cluster = Cluster::connect_tcp(&addrs, Duration::from_secs(5), 2).expect("connect");
+    let cluster = Cluster::connect_tcp_with(
+        &addrs,
+        Duration::from_secs(5),
+        2,
+        TcpClientConfig::default(),
+    )
+    .expect("connect");
     for i in 0..3 {
         let resp = cluster.call(i, b"ping".to_vec()).expect("call");
         assert_eq!(resp[0], 0xC0 + i as u8);
@@ -201,20 +207,68 @@ fn cluster_runs_over_sockets() {
 fn dead_server_surfaces_as_timeout() {
     let server = serve(0x01);
     let addr = server.local_addr();
-    let cluster = Cluster::connect_tcp(&[addr], Duration::from_millis(300), 1).expect("connect");
+    let cluster = Cluster::connect_tcp_with(
+        &[addr],
+        Duration::from_millis(300),
+        1,
+        TcpClientConfig::default(),
+    )
+    .expect("connect");
     assert!(cluster.call(0, b"up".to_vec()).is_ok());
     let mut server = server;
     server.shutdown();
     drop(server);
-    // The provider process is gone: the client retries inside its error
-    // hold, the cluster deadline fires first — a crash looks like a
-    // timeout, exactly as with in-process providers.
+    // The provider process is gone: the request is never answered and
+    // the cluster deadline fires — a crash looks like a timeout, exactly
+    // as with in-process providers.
     let err = cluster
         .call(0, b"down".to_vec())
         .expect_err("server is gone");
     assert!(matches!(err, dasp_net::RpcError::Timeout(_)));
     let mut cluster = cluster;
     cluster.shutdown();
+}
+
+#[test]
+fn cluster_starts_with_a_provider_down_and_heals_when_it_comes_up() {
+    let up: Vec<TcpServer> = (0..2).map(|i| serve(0xA0 + i as u8)).collect();
+    // A port nobody listens on: bind an ephemeral one, then free it.
+    let down = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("probe port");
+    let addrs = [up[0].local_addr(), up[1].local_addr(), down];
+    let cluster = Cluster::connect_tcp_with(
+        &addrs,
+        Duration::from_millis(300),
+        1,
+        TcpClientConfig::default(),
+    )
+    .expect("k of n providers reachable is enough to start");
+    // Reads need k = 2 of 3: the unreachable provider is masked.
+    let got = cluster
+        .call_quorum((0..3).map(|p| (p, b"read".to_vec())).collect(), 2)
+        .expect("quorum read");
+    assert!(got.iter().all(|(p, _)| *p < 2), "{got:?}");
+    assert!(matches!(
+        cluster.call(2, b"x".to_vec()),
+        Err(dasp_net::RpcError::Timeout(2))
+    ));
+    // The provider comes up on its address: the next call dials it.
+    let mut revived = None;
+    for _ in 0..50 {
+        match TcpServer::serve(down, Arc::new(Echo(0xA2)), ReactorConfig::default()) {
+            Ok(s) => {
+                revived = Some(s);
+                break;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+    let _revived = revived.expect("bind the down provider's port");
+    // Past the client's reconnect backoff, one call is enough.
+    std::thread::sleep(Duration::from_millis(100));
+    let resp = cluster.call(2, b"up".to_vec()).expect("healed provider");
+    assert_eq!(resp, b"\xA2up");
 }
 
 #[test]

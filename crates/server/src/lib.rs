@@ -9,8 +9,8 @@
 //! * [`proto`] — the request/response wire protocol.
 //! * [`engine`] — the share-table engine over `dasp-storage` (heap files
 //!   plus B+tree indexes on share values).
-//! * [`service`] — the [`dasp_net::Service`] adapter gluing the engine to
-//!   the RPC fabric.
+//! * [`service`] — the [`dasp_net::SharedService`] adapter gluing the
+//!   engine to the RPC fabric, in process or behind a TCP server.
 //!
 //! Nothing in this crate has access to evaluation points, domain keys, or
 //! plaintext private values — by construction it *could not* decode what
@@ -23,7 +23,4 @@ pub mod service;
 
 pub use engine::{DurableConfig, ProviderEngine, RecoveryReport};
 pub use proto::{AggOp, PredAtom, Request, Response, Row};
-pub use service::{
-    durable_provider_factories, provider_fleet, serve_provider_tcp, shared_provider_fleet,
-    tcp_provider_fleet, ProviderService,
-};
+pub use service::{serve_provider_tcp, shared_provider_fleet, tcp_provider_fleet, ProviderService};

@@ -12,7 +12,7 @@ use dasp_client::{ColumnSpec, DataSource, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_crypto::commutative::shared_test_prime;
 use dasp_net::{Cluster, NetworkModel};
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 fn main() {
     let mut rng = StdRng::seed_from_u64(31337);
     let keys = ClientKeys::generate(2, 3, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(10));
+    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(3), Duration::from_secs(10), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 11).expect("data source");
 
     // Shared id domain so the join works provider-side (§V-A).

@@ -15,7 +15,7 @@
 use dasp_client::{ColumnSpec, DataSource, Predicate, QueryOptions, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_net::{Cluster, FailureMode, RetryPolicy};
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,8 @@ use std::time::Duration;
 fn deploy() -> DataSource {
     let mut rng = StdRng::seed_from_u64(404);
     let keys = ClientKeys::generate(2, 5, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(5), Duration::from_millis(400));
+    let cluster =
+        Cluster::spawn_concurrent(shared_provider_fleet(5), Duration::from_millis(400), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 5).expect("data source");
     ds.create_table(
         TableSchema::new(

@@ -14,7 +14,7 @@
 use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_net::{Cluster, NetworkModel};
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use dasp_workload::medical;
 use rand::rngs::StdRng;
@@ -28,7 +28,7 @@ fn main() {
         .unwrap_or(50_000);
     let mut rng = StdRng::seed_from_u64(2009);
     let keys = ClientKeys::generate(2, 3, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(60));
+    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(3), Duration::from_secs(60), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 2009).expect("data source");
     let model = NetworkModel::wan();
 

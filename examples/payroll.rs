@@ -12,7 +12,7 @@
 use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_net::{Cluster, NetworkModel};
-use dasp_server::service::provider_fleet;
+use dasp_server::service::shared_provider_fleet;
 use dasp_sss::ShareMode;
 use dasp_workload::employees::{self, SalaryDist};
 use rand::rngs::StdRng;
@@ -44,7 +44,7 @@ fn timed<T>(
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let keys = ClientKeys::generate(2, 4, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(4), Duration::from_secs(10));
+    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(4), Duration::from_secs(10), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 7).expect("data source");
     let model = NetworkModel::wan();
 

@@ -3,14 +3,15 @@
 //!
 //! Transport-parameterized: `DASP_TRANSPORT=tcp` runs every scenario
 //! over real sockets (reactor servers + multiplexing TCP clients)
-//! instead of in-process channels. Failure injection lives in the
-//! cluster layer *above* the transport, so crash/omission/Byzantine
-//! semantics — and these assertions — must hold identically on both.
+//! instead of in-process channels. Failure injection lives at the
+//! cluster's one dispatch step *above* the transport, so
+//! crash/omission/Byzantine semantics — and these assertions — must
+//! hold identically on both.
 
 use dasp_client::{ColumnSpec, DataSource, Predicate, QueryOptions, TableSchema, Value};
 use dasp_core::client::ClientKeys;
-use dasp_net::{Cluster, FailureMode, ReactorConfig, RetryPolicy, TcpServer};
-use dasp_server::service::{provider_fleet, tcp_provider_fleet};
+use dasp_net::{Cluster, FailureMode, ReactorConfig, RetryPolicy, TcpClientConfig, TcpServer};
+use dasp_server::service::{shared_provider_fleet, tcp_provider_fleet};
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,11 +33,11 @@ fn spawn_cluster(n: usize, timeout: Duration) -> Cluster {
                 .lock()
                 .expect("server holder poisoned")
                 .extend(servers);
-            // workers = 1 matches Cluster::spawn's per-provider worker
-            // count, keeping fault-injection RNG streams identical.
-            Cluster::connect_tcp(&addrs, timeout, 1).expect("connect tcp fleet")
+            // The coalescing window follows DASP_BATCH_WINDOW_US.
+            Cluster::connect_tcp_with(&addrs, timeout, 1, TcpClientConfig::default())
+                .expect("connect tcp fleet")
         }
-        _ => Cluster::spawn(provider_fleet(n), timeout),
+        _ => Cluster::spawn_concurrent(shared_provider_fleet(n), timeout, 1),
     }
 }
 

@@ -22,6 +22,9 @@ enum Transport {
     /// TCP with a 1 ms client-side coalescing window: requests ride in
     /// multi-query batch frames. Same resilience semantics required.
     TcpBatched,
+    /// A blocking `TcpClient` served from an in-process worker pool —
+    /// the shape for wrapping each remote call, e.g. to time it.
+    TcpPooled,
 }
 
 const TRANSPORTS: [Transport; 3] = [Transport::Channel, Transport::Tcp, Transport::TcpBatched];
@@ -46,46 +49,57 @@ struct Fixture {
 }
 
 fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerConfig) -> Fixture {
-    match transport {
-        Transport::Channel => {
-            let services: Vec<Arc<dyn SharedService>> = (0..n)
-                .map(|i| Arc::new(TaggedEcho(i as u8)) as Arc<dyn SharedService>)
-                .collect();
-            Fixture {
-                cluster: Cluster::spawn_concurrent_with_breaker(services, timeout, 1, breaker),
-                _servers: Vec::new(),
-            }
-        }
-        Transport::Tcp | Transport::TcpBatched => {
-            let batch_window = match transport {
-                Transport::TcpBatched => Duration::from_millis(1),
-                _ => Duration::ZERO,
-            };
-            let mut servers = Vec::with_capacity(n);
-            let mut clients: Vec<Arc<dyn SharedService>> = Vec::with_capacity(n);
-            for i in 0..n {
-                let server = TcpServer::serve(
+    let servers: Vec<TcpServer> = match transport {
+        Transport::Channel => Vec::new(),
+        _ => (0..n)
+            .map(|i| {
+                TcpServer::serve(
                     "127.0.0.1:0",
                     Arc::new(TaggedEcho(i as u8)),
                     ReactorConfig::default(),
                 )
-                .expect("bind");
-                let cfg = TcpClientConfig {
-                    call_timeout: timeout.saturating_mul(2),
-                    error_hold: timeout.saturating_mul(2),
-                    batch_window,
-                    ..TcpClientConfig::default()
-                };
-                clients.push(Arc::new(
-                    TcpClient::connect(server.local_addr(), cfg).expect("dial"),
-                ));
-                servers.push(server);
-            }
-            Fixture {
-                cluster: Cluster::spawn_concurrent_with_breaker(clients, timeout, 1, breaker),
-                _servers: servers,
-            }
+                .expect("bind")
+            })
+            .collect(),
+    };
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let tcp = |batch_window| TcpClientConfig {
+        batch_window,
+        ..TcpClientConfig::default()
+    };
+    let cluster = match transport {
+        Transport::Channel => {
+            let services: Vec<Arc<dyn SharedService>> = (0..n)
+                .map(|i| Arc::new(TaggedEcho(i as u8)) as Arc<dyn SharedService>)
+                .collect();
+            Cluster::spawn_concurrent(services, timeout, 1)
         }
+        Transport::Tcp => {
+            Cluster::connect_tcp_with(&addrs, timeout, 1, tcp(Duration::ZERO)).expect("connect")
+        }
+        Transport::TcpBatched => {
+            Cluster::connect_tcp_with(&addrs, timeout, 1, tcp(Duration::from_millis(1)))
+                .expect("connect")
+        }
+        Transport::TcpPooled => {
+            let cfg = TcpClientConfig {
+                call_timeout: timeout.saturating_mul(2),
+                error_hold: timeout.saturating_mul(2),
+                ..tcp(Duration::ZERO)
+            };
+            let clients: Vec<Arc<dyn SharedService>> = addrs
+                .iter()
+                .map(|a| {
+                    Arc::new(TcpClient::connect(*a, cfg.clone()).expect("dial"))
+                        as Arc<dyn SharedService>
+                })
+                .collect();
+            Cluster::spawn_concurrent(clients, timeout, 1)
+        }
+    };
+    Fixture {
+        cluster: cluster.with_breaker(breaker),
+        _servers: servers,
     }
 }
 
@@ -208,8 +222,8 @@ fn retries_heal_omission_identically_on_both_transports() {
     for t in TRANSPORTS {
         let fx = fixture(t, 2, TIMEOUT, BreakerConfig::default());
         fx.cluster.set_failure(1, FailureMode::Omission(0.8));
-        // Same seed → same worker RNG stream → the same attempts drop on
-        // both transports; retries recover within the schedule either way.
+        // Same seed → same per-provider RNG stream → the same attempts
+        // drop on every transport; retries recover within the schedule.
         let resp = fx
             .cluster
             .call_with_retry(1, b"r".to_vec(), &policy)
@@ -220,9 +234,10 @@ fn retries_heal_omission_identically_on_both_transports() {
 
 #[test]
 fn byzantine_injection_sits_above_the_socket_on_both_transports() {
-    // Byzantine corruption is injected in the cluster worker, after the
-    // (possibly remote) service answered — so a validate hook sees and
-    // rejects the same corruption on either transport.
+    // Byzantine corruption is injected at the cluster's dispatch step,
+    // when the (possibly remote) service's reply is received — so a
+    // validate hook sees and rejects the same corruption on either
+    // transport.
     for t in TRANSPORTS {
         let fx = fixture(t, 3, TIMEOUT, BreakerConfig::default());
         fx.cluster.set_failure(0, FailureMode::Byzantine(1.0));
@@ -334,4 +349,129 @@ fn worker_pools_multiplex_identically_on_both_transports() {
             "{t:?}: fan-out serialized"
         );
     }
+}
+
+#[test]
+fn injected_latency_is_a_link_delay_on_every_transport() {
+    // One worker per in-process provider, three requests to provider 0:
+    // the delay holds no thread, so the three overlap inside one delay
+    // instead of queueing for three.
+    for t in TRANSPORTS {
+        let fx = fixture(t, 1, Duration::from_secs(2), BreakerConfig::default());
+        fx.cluster.set_latency(Duration::from_millis(40));
+        let start = Instant::now();
+        let results = fx
+            .cluster
+            .call_many((0..3u8).map(|i| (0, vec![i])).collect());
+        let elapsed = start.elapsed();
+        for (i, (_, r)) in results.iter().enumerate() {
+            assert_eq!(r.as_ref().expect("ok"), &expected(0, &[i as u8]), "{t:?}");
+        }
+        assert!(elapsed >= Duration::from_millis(40), "{t:?}: {elapsed:?}");
+        assert!(
+            elapsed < Duration::from_millis(80),
+            "{t:?}: three delayed requests took {elapsed:?}"
+        );
+    }
+}
+
+#[test]
+fn pooled_tcp_client_keeps_the_resilience_semantics() {
+    // A TcpClient behind an in-process worker pool rides the same
+    // dispatch step as the direct socket: crash, Byzantine and quorum
+    // behave the same.
+    let fx = fixture(Transport::TcpPooled, 3, TIMEOUT, BreakerConfig::default());
+    for p in 0..3 {
+        let resp = fx.cluster.call(p, b"hello".to_vec()).expect("call");
+        assert_eq!(resp, expected(p as u8, b"hello"));
+    }
+    fx.cluster.set_failure(0, FailureMode::Crashed);
+    assert_eq!(fx.cluster.call(0, b"x".to_vec()), Err(RpcError::Timeout(0)));
+    fx.cluster.set_failure(1, FailureMode::Byzantine(1.0));
+    let reqs: Vec<_> = (0..3).map(|p| (p, b"q".to_vec())).collect();
+    // Provider 0 is down, so a 2-of-3 quorum takes 1's corrupted reply.
+    let got = fx.cluster.call_quorum(reqs, 2).expect("quorum");
+    assert_eq!(got.len(), 2);
+    assert_eq!(got[0].0, 1);
+    assert_ne!(got[0].1, expected(1, b"q"), "Byzantine reply passed intact");
+    assert_eq!(got[1], (2, expected(2, b"q")));
+}
+
+#[test]
+fn shutdown_closes_every_transport() {
+    for t in [
+        Transport::Channel,
+        Transport::Tcp,
+        Transport::TcpBatched,
+        Transport::TcpPooled,
+    ] {
+        let mut fx = fixture(t, 2, TIMEOUT, BreakerConfig::default());
+        assert!(fx.cluster.call(0, b"up".to_vec()).is_ok(), "{t:?}");
+        fx.cluster.shutdown();
+        let start = Instant::now();
+        assert_eq!(
+            fx.cluster.call(0, b"x".to_vec()),
+            Err(RpcError::Closed),
+            "{t:?}"
+        );
+        let all = fx
+            .cluster
+            .call_many((0..2).map(|p| (p, b"y".to_vec())).collect());
+        assert!(
+            all.iter().all(|(_, r)| *r == Err(RpcError::Closed)),
+            "{t:?}"
+        );
+        assert!(start.elapsed() < TIMEOUT, "{t:?}: closed calls waited");
+    }
+}
+
+#[test]
+fn client_starts_with_one_provider_down_and_uses_it_once_up() {
+    // k = 2 of n = 3 and the third address has no listener yet: the
+    // client still connects, and once a provider binds that address the
+    // whole stack — writes to every provider included — works.
+    use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
+    use dasp_core::client::ClientKeys;
+    use dasp_server::service::{serve_provider_tcp, tcp_provider_fleet};
+    use dasp_sss::ShareMode;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let (_servers, mut addrs) = tcp_provider_fleet(2, ReactorConfig::default()).expect("bind");
+    let down = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("probe port");
+    addrs.push(down);
+    let keys = ClientKeys::generate(2, 3, &mut StdRng::seed_from_u64(5)).unwrap();
+    let mut ds = DataSource::connect_tcp_with(
+        keys,
+        &addrs,
+        Duration::from_millis(300),
+        1,
+        TcpClientConfig::default(),
+    )
+    .expect("a provider being down must not stop the client");
+    let mut revived = None;
+    for _ in 0..50 {
+        match serve_provider_tcp(&down.to_string(), ReactorConfig::default()) {
+            Ok(s) => {
+                revived = Some(s);
+                break;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+    let _revived = revived.expect("bind the down provider's address");
+    let schema = TableSchema::new(
+        "t",
+        vec![ColumnSpec::numeric("k", 1 << 16, ShareMode::Deterministic)],
+    )
+    .unwrap();
+    ds.create_table(schema).expect("create on all three");
+    let rows: Vec<Vec<Value>> = (0..20u64).map(|i| vec![Value::Int(i % 5)]).collect();
+    ds.insert("t", &rows).expect("insert on all three");
+    assert_eq!(
+        ds.select("t", &[Predicate::eq("k", 3u64)]).unwrap().len(),
+        4
+    );
 }
